@@ -174,16 +174,12 @@ class AllocationSession:
         self.checkpoint = checkpoint
         self.job_id = job_id
         # Direct constructions (tests, the service) may not have run the
-        # facade's up-front backend/transport resolution; the checkpoint
-        # config records both, so resolve them here when missing.
+        # facade's up-front backend resolution; the checkpoint config
+        # records it, so resolve it here when missing.
         if getattr(config, "_backend_obj", None) is None:
             from repro.rrset.backends import resolve_backend
 
             config._backend_obj = resolve_backend(config.backend)
-        if getattr(config, "_transport_resolved", None) is None:
-            config._transport_resolved = ShardedSamplingEngine.resolve_transport(
-                config.transport
-            )
         self.allocation = Allocation(problem.num_ads, problem.num_nodes)
         self.budgets = problem.catalog.budgets()
         self.cpes = problem.catalog.cpes()

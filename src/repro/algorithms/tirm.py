@@ -62,7 +62,7 @@ from repro.rrset.sharded import (
     ENGINE_MODES,
     RNG_MODES,
     START_METHODS,
-    TRANSPORT_MODES,
+    TRANSPORT_BY_ENGINE,
     ShardedSamplingEngine,
 )
 from repro.rrset.tim import greedy_max_coverage, required_rr_sets
@@ -132,21 +132,14 @@ class TIRMAllocator(Allocator):
         determinism contract — the same seed yields the same allocation
         on every backend, and a checkpoint written under one backend
         resumes under another.  Stats and provenance record the
-        *resolved* name.
-    transport:
-        Worker-result transport for ``engine="process"``: ``"shm"``
-        (workers publish packed chunk blocks into shared-memory
-        segments; the parent splices zero-copy), ``"pickle"`` (blocks
-        travel over the result pipe), or ``"auto"`` (default: shm where
-        available).  Like ``backend``, **not** part of the determinism
-        contract — both transports produce byte-identical pools and
-        allocations, and checkpoints resume across transports.  Stats,
-        provenance and checkpoints record the *resolved* name.
+        *resolved* name.  Stats, provenance and checkpoints also record
+        the engine's ``transport`` — ``"inline"``, ``"pickle"`` or
+        ``"socket"`` for the serial, process and dist engines — which is
+        likewise never part of the determinism contract.
     start_method:
         Worker start method for ``engine="process"``: ``"fork"``,
         ``"spawn"``, or ``"auto"`` (default: fork where available, else
-        spawn via a shared-memory payload arena).  Not part of the
-        determinism contract.
+        spawn).  Not part of the determinism contract.
     prefetch:
         When true (default), issue speculative next-θ prefetch hints to
         the engine after each growth event, so RR-set sampling overlaps
@@ -234,7 +227,6 @@ class TIRMAllocator(Allocator):
         rng: str = "philox",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
-        transport: str = "auto",
         start_method: str = "auto",
         prefetch: bool = True,
         initial_pilot: int = 1_000,
@@ -291,10 +283,6 @@ class TIRMAllocator(Allocator):
                 f"backend must be one of {BACKEND_MODES} or a SamplingBackend "
                 f"instance, got {backend!r}"
             )
-        if transport not in TRANSPORT_MODES:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORT_MODES}, got {transport!r}"
-            )
         if start_method not in START_METHODS:
             raise ConfigurationError(
                 f"start_method must be one of {START_METHODS}, got {start_method!r}"
@@ -329,7 +317,6 @@ class TIRMAllocator(Allocator):
         self.rng = rng
         self.chunk_size = int(chunk_size)
         self.backend = backend
-        self.transport = transport
         self.start_method = start_method
         self.prefetch = bool(prefetch)
         self.initial_pilot = int(initial_pilot)
@@ -358,9 +345,8 @@ class TIRMAllocator(Allocator):
         self._seed = seed
         # Resolved at allocate() (or by the session guard): "auto"
         # commits to a substrate before any sampling so stats/
-        # provenance/checkpoints record the resolved names.
+        # provenance/checkpoints record the resolved name.
         self._backend_obj = None
-        self._transport_resolved = None
 
     # ------------------------------------------------------------------
     def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
@@ -395,15 +381,6 @@ class TIRMAllocator(Allocator):
         # record the *resolved* name.  Backends are byte-identical, so
         # resolution never affects the allocation — only throughput.
         self._backend_obj = resolve_backend(self.backend)
-        # Same story for the transport: resolve "auto" up front so
-        # stats/provenance/checkpoints record the substrate actually
-        # used (and an unavailable explicit 'shm' fails cleanly here).
-        # Like the backend, it is recorded but never matched on resume.
-        # The distributed engine's transport is always the socket wire.
-        self._transport_resolved = (
-            "socket" if self.engine == "dist"
-            else ShardedSamplingEngine.resolve_transport(self.transport)
-        )
         checkpoint = self._load_checkpoint(problem)
         engine = self._build_engine(problem, cache, checkpoint)
         with engine:
@@ -476,7 +453,6 @@ class TIRMAllocator(Allocator):
             chunk_size=self.chunk_size,
             backend=self._backend_obj if self._backend_obj is not None
             else self.backend,
-            transport=self.transport,
             start_method=self.start_method,
             dsan=self.dsan,
             cache=cache,
@@ -491,23 +467,18 @@ class TIRMAllocator(Allocator):
 
         ``backend`` and ``transport`` are recorded as provenance but
         deliberately *not* matched on resume — both are byte-identical
-        substrates, so a numpy/pickle checkpoint resumes under
-        numba/shm (and vice versa) unchanged.
+        substrates, so a numpy checkpoint from a serial run resumes
+        under numba on the process engine (and vice versa) unchanged.
         """
         seed = int(self._seed) if isinstance(self._seed, (int, np.integer)) else None
         if self._backend_obj is None:
             self._backend_obj = resolve_backend(self.backend)
-        if self._transport_resolved is None:
-            self._transport_resolved = (
-                "socket" if self.engine == "dist"
-                else ShardedSamplingEngine.resolve_transport(self.transport)
-            )
         return {
             "algorithm": self.name,
             "rng": self.rng,
             "chunk_size": self.chunk_size if self.rng == "philox" else None,
             "backend": self._backend_obj.name,
-            "transport": self._transport_resolved,
+            "transport": TRANSPORT_BY_ENGINE[self.engine],
             "sampler_mode": self.sampler_mode,
             "select_rule": self.select_rule,
             "epsilon": self.epsilon,

@@ -24,7 +24,7 @@ from repro.evaluation.reporting import format_table
 from repro.graph.stats import graph_stats
 from repro.rrset.backends import BACKEND_MODES
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
-from repro.rrset.sharded import RNG_MODES, START_METHODS, TRANSPORT_MODES
+from repro.rrset.sharded import RNG_MODES, START_METHODS
 
 _ALLOCATORS: dict[str, Callable[..., object]] = {
     "tirm": lambda args: TIRMAllocator(
@@ -34,7 +34,6 @@ _ALLOCATORS: dict[str, Callable[..., object]] = {
         rng=getattr(args, "rng", "philox"),
         chunk_size=getattr(args, "chunk_size", DEFAULT_CHUNK_SIZE),
         backend=getattr(args, "backend", "numpy"),
-        transport=getattr(args, "transport", "auto"),
         start_method=getattr(args, "start_method", "auto"),
         prefetch=not getattr(args, "no_prefetch", False),
         max_workers=getattr(args, "workers", None),
@@ -118,19 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--workers", type=int, default=None,
                           help="process-pool width for --engine process "
                                "(default: cpu count)")
-    allocate.add_argument("--transport", choices=TRANSPORT_MODES, default="auto",
-                          help="worker→parent result transport for --engine "
-                               "process: 'shm' = zero-copy shared-memory "
-                               "blocks, 'pickle' = classic pickled arrays, "
-                               "'auto' = shm when the platform supports it.  "
-                               "Byte-identical allocations either way — only "
-                               "throughput differs")
     allocate.add_argument("--start-method", choices=START_METHODS,
                           dest="start_method", default="auto",
                           help="worker start method for --engine process: "
                                "'auto' prefers fork and falls back to spawn "
-                               "(full parallelism via a shared-memory payload "
-                               "arena) where fork is unavailable")
+                               "where fork is unavailable")
     allocate.add_argument("--no-prefetch", action="store_true",
                           dest="no_prefetch",
                           help="disable speculative next-iteration chunk "

@@ -38,6 +38,7 @@ from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
 from repro.rrset.sharded import (
+    TRANSPORT_BY_ENGINE,
     ShardedSamplingEngine,
     _payload_layout,
     _payload_parts,
@@ -93,15 +94,13 @@ class DistributedEngine(ShardedSamplingEngine):
         super().__init__(
             graph, list(probs_per_ad), seeds=seeds, mode=mode,
             engine="serial", rng="philox", chunk_size=chunk_size,
-            backend=backend, transport="pickle", start_method="auto",
-            dsan=dsan, dsan_expected=dsan_expected, cache=cache,
-            retain_blocks=retain_blocks,
+            backend=backend, dsan=dsan, dsan_expected=dsan_expected,
+            cache=cache, retain_blocks=retain_blocks,
         )
         # Provenance strings: the base init validated its own knobs; the
         # distributed engine reports what it actually is.
         self.engine = "dist"
-        self.transport = "socket"
-        self._resources["transport"] = "socket"
+        self.transport = TRANSPORT_BY_ENGINE["dist"]
         self._fallback_invocations = 0
         self._warned_fallback = False
         # Shard keys always exist on a distributed engine (the base only
@@ -147,8 +146,9 @@ class DistributedEngine(ShardedSamplingEngine):
 
     def _session_payload(self) -> tuple[dict, bytes]:
         """The session's SETUP meta + flat PAYLOAD bytes — the same
-        arrays, layout, and alignment as the spawn arena, so both worker
-        substrates rebuild identical views."""
+        :func:`~repro.rrset.sharded._payload_parts` arrays a spawned
+        process worker receives, packed 8-byte aligned, so both worker
+        substrates rebuild identical arrays."""
         from repro.utils.hashing import graph_digest
 
         parts = _payload_parts(self.graph, self._samplers)

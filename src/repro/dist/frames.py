@@ -5,7 +5,7 @@ One frame is a fixed 16-byte header followed by a payload::
     <4s magic "RPF1"> <B kind> <3x pad> <q payload length>  payload...
 
 Control frames (HELLO / SETUP / TASK / ERROR / RELEASE / SHUTDOWN)
-carry a JSON object; PAYLOAD carries the raw session arena bytes; and
+carry a JSON object; PAYLOAD carries the session's flat payload bytes; and
 RESULT carries one full chunk block in the shard store's layout
 (:mod:`repro.store.blocks`) — a 64-byte header followed by
 ``[int64 lengths | int32 members]``, stamped with the same blake2
@@ -54,7 +54,7 @@ HEADER_SIZE = _HEADER.size
 # Frame kinds.
 HELLO = 1      # worker -> coordinator: {"protocol", "name", ...}
 SETUP = 2      # coordinator -> worker: session meta (dims, entropies, layout)
-PAYLOAD = 3    # coordinator -> worker: the session's raw arena bytes
+PAYLOAD = 3    # coordinator -> worker: the session's flat payload bytes
 TASK = 4       # coordinator -> worker: {"session", "ad", "chunk", "mode"}
 RESULT = 5     # worker -> coordinator: one packed chunk block (see above)
 ERROR = 6      # worker -> coordinator: {"error": ...}
@@ -67,7 +67,7 @@ FRAME_KINDS = frozenset(
 
 #: Default ceiling on one frame's payload.  A chunk block is
 #: ``chunk_size`` sets of bounded length; 256 MiB accommodates any
-#: realistic session arena while keeping a hostile length prefix from
+#: realistic session payload while keeping a hostile length prefix from
 #: allocating unbounded memory.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 

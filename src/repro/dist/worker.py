@@ -4,7 +4,7 @@
 dials the coordinator, announces itself (HELLO), and then serves TASK
 frames until the coordinator says SHUTDOWN (or vanishes).  Per session
 it receives the payload once — graph in-CSR, per-ad probability rows,
-stream entropies — in exactly the layout the spawn arena uses
+stream entropies — as the same arrays a spawned process worker receives
 (:func:`repro.rrset.sharded._payload_parts`), rebuilds zero-copy views,
 and re-derives any requested chunk purely from
 ``(entropy, ad, chunk)``: no sampler state ever crosses the wire, which

@@ -29,14 +29,15 @@ states (Mersenne scalar + PCG64 blocked) so post-resume top-ups continue
 bit-identically.
 
 The compatibility config also records the *resolved* sampling
-``backend`` (``repro.rrset.backends``) and worker ``transport``
-(``repro.rrset.sharded``) as provenance, but deliberately does **not**
-match on either at resume time: backends and transports are
-byte-identical for the same streams, so a checkpoint written under the
-numpy backend over the pickle transport resumes under the numba backend
-over the shm transport (and vice versa) with an unchanged allocation —
-only the RNG contract (``rng``, ``chunk_size``, seed, stream entropies)
-pins the samples.
+``backend`` (``repro.rrset.backends``) and the engine's ``transport``
+(``inline``/``pickle``/``socket``, see ``repro.rrset.sharded``) as
+provenance, but deliberately does **not** match on either at resume
+time: backends and engines are byte-identical for the same streams, so
+a checkpoint written by the serial engine under the numpy backend
+resumes on the process engine under the numba backend (and vice versa)
+with an unchanged allocation — only the RNG contract (``rng``,
+``chunk_size``, seed, stream entropies) pins the samples.  Older
+checkpoints that stored ``transport: "shm"`` resume the same way.
 
 Artifact layout (``format_version`` 1)
 --------------------------------------

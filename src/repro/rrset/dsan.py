@@ -6,7 +6,7 @@ engine samples, a :class:`DsanRecorder` keeps a blake2 running digest
 per ``(ad, chunk)`` over the bytes each chunk contributes to the pool —
 the packed ``(lengths, members)`` block, which is itself a deterministic
 function of every RNG draw the chunk consumed.  Two runs the contract
-requires to be byte-identical (serial vs process, pickle vs shm,
+requires to be byte-identical (serial vs process vs dist, fork vs spawn,
 numpy vs numba, prefetch on vs off) must therefore produce *equal digest
 maps*; when they do not, :func:`compare_digests` (or an ``expected=``
 recorder checking inline) raises
@@ -58,9 +58,10 @@ def dsan_enabled(flag: bool | None = None) -> bool:
 def digest_block(members: np.ndarray, lengths: np.ndarray) -> str:
     """The chunk digest: blake2b over the packed block's bytes.
 
-    The layout mirrors the shm transport segment — ``int64`` lengths,
-    then ``int32`` members — so the digest is transport-independent by
-    construction (both transports carry exactly these bytes).
+    The layout is the engine's packed chunk-block layout — ``int64``
+    lengths, then ``int32`` members, as in a shard-cache entry and a
+    dist RESULT frame — so the digest is substrate-independent by
+    construction (every path that delivers a chunk carries these bytes).
     """
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
     members = np.ascontiguousarray(members, dtype=np.int32)

@@ -21,40 +21,21 @@ single ad's θ top-up* — therefore decomposes into independent
 spliced back in set-index order.  Because every chunk is a pure function
 of its address, the shards are **bit-identical for serial, 1-worker and
 N-worker execution**, no matter how requests are split across calls.
-No RNG state round-trips through workers; each task ships only
-``(engine id, ad, chunk, transport)``.
-
-Worker transport (``transport="shm"``, the default where available)
--------------------------------------------------------------------
-
-* ``"shm"``: workers publish each chunk's packed block into a
-  ``multiprocessing.shared_memory`` segment — ``int64`` lengths followed
-  by ``int32`` members — and return only a small descriptor
-  ``(ad, chunk, segment_name, num_sets, num_members)``.  The parent
-  attaches the segment, splices the requested set subrange straight into
-  the ad's shard through the single-copy
-  :meth:`~repro.rrset.pool.RRSetPool.add_flat_from_buffer` append path
-  (zero-copy views over the segment; exactly one copy into the pool),
-  and retires the segment — exactly one ``unlink`` per segment, on
-  success and error paths alike.
-* ``"pickle"``: the historical transport — workers return the packed
-  ``(members, lengths)`` block itself over the result pipe.
-
-Transport is **not** part of the determinism contract: both splice the
-same bytes, and the invariance tests assert it.
+No RNG state round-trips through workers: each task ships only
+``(engine id, ad, mode, chunk)``, and the worker returns the chunk's
+packed ``(members, lengths)`` block over the executor's result pipe.
 
 Start methods
 -------------
 
 Under ``fork`` (preferred where available) workers inherit the payload
 — graph CSR, per-ad probability rows, stream entropies — by
-copy-on-write from a module registry.  Under ``spawn`` the parent
-publishes the same payload once into a shared-memory *arena* and the
-executor initializer attaches it in each worker, rebuilding zero-copy
-views — so spawn platforms (macOS/Windows) run at full parallelism
-instead of degrading to serial.  Only when neither fork nor a
-shared-memory-capable spawn is usable does ``engine="process"`` degrade
-to serial sampling, with a warning per engine.
+copy-on-write from a module registry.  Under ``spawn`` the same payload
+arrays (:func:`_payload_parts`) travel once per worker as the executor
+initializer's arguments, so spawn platforms (macOS/Windows) run at full
+parallelism.  Only when neither fork nor spawn exists does
+``engine="process"`` degrade to serial sampling, with a warning per
+engine.
 
 Prefetch pipeline
 -----------------
@@ -66,7 +47,7 @@ overlap the caller's own work (TIRM overlaps its greedy selection).
 Speculation is legal because chunks are pure functions of their
 ``(entropy, ad, chunk)`` address: a speculative chunk is byte-identical
 whether or not it ends up needed, and one that is never consumed is
-simply discarded (and its segment unlinked) at close.
+simply discarded at close.
 
 Shard cache (``cache=...`` / ``REPRO_CACHE``)
 ---------------------------------------------
@@ -75,17 +56,16 @@ With a cache directory configured, the engine is *read-through* over
 the content-addressed shard store (:mod:`repro.store`): every sampling
 path — :meth:`sample`, :meth:`ensure`, :meth:`prefetch` — consults the
 cache **before** submitting compute, splices verified hits through the
-same single-copy ``add_flat_from_buffer`` path the shm transport uses,
-and stores freshly computed blocks for the next run.  Keys address what
-determines the bytes (graph/probs content, stream entropy, chunk size,
-sampler mode) and exclude the byte-identical substrate knobs (engine,
-workers, backend, transport, start method) — so a warm run performs
-**zero** sampling-backend invocations (``backend_invocations`` counts
-them) while remaining byte-identical to a cold one.  Every hit is
-integrity-checked against its stored dsan digest on load; a poisoned
-entry is quarantined with a warning and the block recomputed, never
-spliced.  Like prefetch and the transport, the cache is **not** part of
-the determinism contract.
+single-copy ``add_flat_from_buffer`` path, and stores freshly computed
+blocks for the next run.  Keys address what determines the bytes
+(graph/probs content, stream entropy, chunk size, sampler mode) and
+exclude the byte-identical substrate knobs (engine, workers, backend,
+start method) — so a warm run performs **zero** sampling-backend
+invocations (``backend_invocations`` counts them) while remaining
+byte-identical to a cold one.  Every hit is integrity-checked against
+its stored dsan digest on load; a poisoned entry is quarantined with a
+warning and the block recomputed, never spliced.  Like prefetch, the
+cache is **not** part of the determinism contract.
 
 Legacy streams (``rng="legacy"``)
 ---------------------------------
@@ -104,13 +84,12 @@ the cache for that ad (the stream history no longer matches).
 
 from __future__ import annotations
 
-import gc
 import itertools
 import multiprocessing
 import os
 import warnings
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,19 +107,18 @@ from repro.rrset.sampler import (
 )
 from repro.utils.rng import seed_entropy, spawn_generators
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
-
 ENGINE_MODES = ("serial", "process")
 SAMPLER_MODES = ("scalar", "blocked")
 RNG_MODES = ("philox", "legacy")
-TRANSPORT_MODES = ("auto", "pickle", "shm")
 START_METHODS = ("auto", "fork", "spawn")
 
-_LENGTH_DTYPE = np.int64
-_LENGTH_ITEMSIZE = np.dtype(_LENGTH_DTYPE).itemsize
+#: How chunk results reach the parent, per engine mode — provenance
+#: only, never part of the determinism contract: serial engines splice
+#: in-process, the process pool returns pickled blocks over its result
+#: pipe, and the distributed tier (:mod:`repro.dist`) uses its sockets.
+TRANSPORT_BY_ENGINE = {"serial": "inline", "process": "pickle", "dist": "socket"}
+
+_LENGTH_ITEMSIZE = np.dtype(np.int64).itemsize
 _MEMBER_ITEMSIZE = np.dtype(MEMBER_DTYPE).itemsize
 
 #: Engine-id allocator: payloads of concurrently live engines must not
@@ -152,7 +130,7 @@ _ENGINE_IDS = itertools.count()
 #: backend).  Under fork the parent registers before creating the
 #: executor and children inherit the entry copy-on-write; under spawn
 #: the executor initializer fills the (fresh) worker-side registry from
-#: the payload arena (:func:`_spawn_worker_init`).
+#: the shipped payload arrays (:func:`_spawn_worker_init`).
 _FORK_PAYLOADS: dict[int, tuple] = {}
 
 #: Worker-side sampler cache, keyed by (engine id, ad).  Samplers are
@@ -162,56 +140,11 @@ _FORK_PAYLOADS: dict[int, tuple] = {}
 _WORKER_SAMPLERS: dict[tuple[int, int], RRSetSampler] = {}
 
 
-def _publish_block(members: np.ndarray, lengths: np.ndarray) -> tuple[str, int, int]:
-    """Worker side of the shm transport: pack one chunk block into a
-    fresh shared-memory segment (lengths, then members) and return its
-    ``(name, num_sets, num_members)`` descriptor.  The worker closes its
-    mapping immediately; the parent owns the segment's single unlink."""
-    lengths = np.ascontiguousarray(lengths, dtype=_LENGTH_DTYPE)
-    members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)
-    segment = shared_memory.SharedMemory(  # reprolint: disable=R104 -- ownership transfers: the parent unlinks at splice (_splice_segment) or drain (_drain_futures/_release_engine_resources); the error path below unlinks locally
-        create=True, size=max(lengths.nbytes + members.nbytes, 1)
-    )
-    try:
-        np.frombuffer(segment.buf, dtype=_LENGTH_DTYPE, count=lengths.size)[:] = lengths
-        np.frombuffer(
-            segment.buf, dtype=MEMBER_DTYPE, count=members.size,
-            offset=lengths.nbytes,
-        )[:] = members
-    except BaseException:
-        segment.close()
-        segment.unlink()
-        raise
-    name = segment.name
-    segment.close()
-    return name, int(lengths.size), int(members.size)
-
-
-def _unlink_segment(name: str) -> None:
-    """Best-effort unlink of a segment by name (idempotent: a segment
-    already unlinked — or never created — is not an error)."""
-    if shared_memory is None:
-        return
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return
-    segment.close()
-    try:
-        segment.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
-def _worker_sample_chunk(
-    engine_id: int, ad: int, mode: str, chunk_index: int,
-    transport: str = "pickle",
-):
+def _worker_sample_chunk(engine_id: int, ad: int, mode: str, chunk_index: int):
     """Run one chunk task in a worker: rebuild the ad's plan from the
-    engine payload and return the chunk's full packed block — inline
-    under the pickle transport, as a shared-memory descriptor under shm.
-    The parent slices out the requested subrange and caches partial tail
-    blocks, so a chunk is computed at most once per engine lifetime."""
+    engine payload and return the chunk's full packed block.  The parent
+    slices out the requested subrange and caches partial tail blocks, so
+    a chunk is computed at most once per engine lifetime."""
     key = (engine_id, ad)
     graph, probs_per_ad, entropies, chunk_size, backend = _FORK_PAYLOADS[engine_id]
     sampler = _WORKER_SAMPLERS.get(key)
@@ -220,9 +153,6 @@ def _worker_sample_chunk(
         _WORKER_SAMPLERS[key] = sampler
     plan = StreamPlan(entropies[ad], ad, chunk_size)
     members, lengths = sampler.sample_chunk_block(plan, chunk_index, mode=mode)
-    if transport == "shm":
-        name, num_sets, num_members = _publish_block(members, lengths)
-        return ad, chunk_index, name, num_sets, num_members
     return ad, chunk_index, members, lengths
 
 
@@ -231,10 +161,10 @@ def _payload_parts(
 ) -> list[tuple[str, np.ndarray]]:
     """The engine payload as named contiguous arrays — the graph in-CSR
     plus one canonical probability row per advertiser.  Single source of
-    truth for every payload shipment: the spawn arena
-    (:meth:`ShardedSamplingEngine._spawn_initargs`) and the distributed
-    tier's session PAYLOAD frame (:mod:`repro.dist`) pack exactly this
-    list, and workers on either substrate rebuild identical views."""
+    truth for every payload shipment: the spawn initializer arguments
+    (:meth:`ShardedSamplingEngine._spawn_initargs`) carry exactly this
+    list, the distributed tier's session PAYLOAD frame (:mod:`repro.dist`)
+    packs it, and workers on either substrate rebuild identical arrays."""
     parts: list[tuple[str, np.ndarray]] = [
         ("in_indptr", np.ascontiguousarray(graph.in_indptr)),
         ("in_sources", np.ascontiguousarray(graph.in_sources)),
@@ -279,29 +209,21 @@ def _graph_from_arrays(
 
 def _spawn_worker_init(
     engine_id: int,
-    arena_name: str,
-    layout: list[tuple[str, str, int, int]],
+    parts: list[tuple[str, np.ndarray]],
     graph_dims: tuple[int, int, int],
     entropies: tuple[int, ...],
     chunk_size: int,
     backend_spec,
 ) -> None:
-    """Executor initializer under the spawn start method: attach the
-    parent's payload arena and rebuild the payload registry entry from
-    zero-copy views over it — spawned workers never pickle the graph.
+    """Executor initializer under the spawn start method: rebuild the
+    payload registry entry from the :func:`_payload_parts` arrays, which
+    the executor pickles once per worker along with the other arguments.
 
-    ``layout`` lists ``(key, dtype, count, offset)`` per array;
     ``backend_spec`` is a backend name (re-resolved here, since resolved
     backends may hold unpicklable compiled kernels) or, for custom
     backends, a picklable instance.
     """
-    import atexit
-
-    arena = shared_memory.SharedMemory(name=arena_name)
-    arrays = {
-        key: np.frombuffer(arena.buf, dtype=np.dtype(dtype), count=count, offset=offset)
-        for key, dtype, count, offset in layout
-    }
+    arrays = dict(parts)
     num_nodes, num_edges, h = graph_dims
     graph = _graph_from_arrays(num_nodes, num_edges, arrays)
     probs_per_ad = [arrays[f"probs_{ad}"] for ad in range(h)]
@@ -309,69 +231,24 @@ def _spawn_worker_init(
         resolve_backend(backend_spec) if isinstance(backend_spec, str) else backend_spec
     )
     _FORK_PAYLOADS[engine_id] = (graph, probs_per_ad, entropies, chunk_size, backend)
-    atexit.register(_spawn_worker_cleanup, engine_id, arena)
-
-
-def _spawn_worker_cleanup(engine_id: int, arena) -> None:
-    """Worker atexit: drop every payload view, then close the arena
-    mapping so the worker exits without buffer-export noise.  The parent
-    owns the arena's unlink."""
-    _FORK_PAYLOADS.pop(engine_id, None)
-    for key in [k for k in _WORKER_SAMPLERS if k[0] == engine_id]:
-        del _WORKER_SAMPLERS[key]
-    gc.collect()
-    try:
-        arena.close()
-    except BufferError:  # pragma: no cover - a view outlived the caches
-        # Detach forcibly: the OS reclaims the mapping at process exit
-        # either way, and silencing here keeps interpreter shutdown
-        # free of "exception ignored in __del__" noise.
-        arena._buf = None
-        arena._mmap = None
 
 
 def _release_engine_resources(resources: dict) -> None:
     """Teardown shared by ``close()`` and the GC finalizer: cancel
-    in-flight prefetch futures, shut the worker pool down, retire any
-    unharvested shared-memory segments and the payload arena, and drop
-    the payload registry entry.  Runs at most once per engine
+    in-flight prefetch futures, shut the worker pool down, and drop the
+    payload registry entry.  Runs at most once per engine
     (``weakref.finalize`` guarantees it), in whichever comes first —
     explicit close, context-manager exit, or garbage collection.  Every
-    step is idempotent and exception-safe: each segment is unlinked
-    exactly once no matter how teardown is reached."""
+    step is idempotent and exception-safe."""
     inflight = resources.get("inflight")
-    pending: list[Future] = []
     if inflight:
-        pending = list(inflight.values())
-        inflight.clear()
-        for future in pending:
+        for future in inflight.values():
             future.cancel()
+        inflight.clear()
     executor = resources.get("executor")
     if executor is not None:
         resources["executor"] = None
         executor.shutdown(wait=True)
-    # Futures that could not be cancelled have completed by now (the
-    # shutdown waited); their published segments were never consumed by
-    # a splice, so retire them here.
-    if resources.get("transport") == "shm":
-        for future in pending:
-            if future.cancelled():
-                continue
-            try:
-                result = future.result()
-            except BaseException:
-                continue  # worker failed: _publish_block cleaned up
-            _unlink_segment(result[2])
-    arena = resources.get("arena")
-    if arena is not None:
-        resources["arena"] = None
-        try:
-            arena.close()
-        finally:
-            try:
-                arena.unlink()
-            except (FileNotFoundError, OSError):
-                pass
     payload_key = resources.get("payload_key")
     if payload_key is not None:
         resources["payload_key"] = None
@@ -449,23 +326,14 @@ class ShardedSamplingEngine:
         the resolved backend with the payload.  **Not** part of the
         determinism contract — every backend yields byte-identical
         shards.
-    transport:
-        Worker-result transport for ``engine="process"``: ``"shm"``
-        (shared-memory descriptors, zero-copy parent splice), ``"pickle"``
-        (packed blocks over the result pipe), or ``"auto"`` (default:
-        shm where :mod:`multiprocessing.shared_memory` is available,
-        else pickle).  **Not** part of the determinism contract — both
-        transports splice byte-identical pools.  An explicit ``"shm"``
-        on a platform without shared memory raises
-        :class:`~repro.errors.ConfigurationError`.
     start_method:
         Process start method for the worker pool: ``"fork"``,
         ``"spawn"``, or ``"auto"`` (default: fork where available, else
-        spawn).  Spawn workers receive the payload through a
-        shared-memory arena, so they run at full parallelism; if neither
-        fork nor a shared-memory-capable spawn is usable, the engine
-        degrades to serial sampling with a warning.  **Not** part of the
-        determinism contract.
+        spawn).  Spawn workers receive the payload once, through the
+        executor initializer, so they run at full parallelism; if the
+        requested method does not exist, the engine degrades to serial
+        sampling with a warning.  **Not** part of the determinism
+        contract.
     dsan:
         Runtime determinism sanitizer (:mod:`repro.rrset.dsan`):
         ``True`` keeps a blake2 digest per ``(ad, chunk)`` over every
@@ -521,7 +389,6 @@ class ShardedSamplingEngine:
         rng: str = "philox",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
-        transport: str = "auto",
         start_method: str = "auto",
         dsan: bool | None = None,
         dsan_expected: Mapping | None = None,
@@ -559,11 +426,9 @@ class ShardedSamplingEngine:
         # backend via the payload, and provenance records its name
         # (`backend_name`, mirroring RRSetSampler.backend/.backend_name).
         self.backend = resolve_backend(backend)
-        # Transport and start method resolve up front too: an explicit
-        # 'shm' without platform support fails cleanly here, and
-        # stats/provenance record the resolved names.  Neither is part
-        # of the determinism contract.
-        self.transport = self.resolve_transport(transport)
+        # Provenance only: how worker results reach the parent follows
+        # from the engine mode (see TRANSPORT_BY_ENGINE).
+        self.transport = TRANSPORT_BY_ENGINE[engine]
         self._start_method = (
             self._resolve_start_method(start_method) if engine == "process" else None
         )
@@ -667,13 +532,10 @@ class ShardedSamplingEngine:
         # Shared with the teardown resources so close() can cancel and
         # drain it even from the GC finalizer (which cannot see self).
         self._inflight: dict[tuple[int, int], Future] = {}
-        self._arena_layout: list[tuple[str, str, int, int]] | None = None
         self._resources: dict = {
             "executor": None,
             "payload_key": None,
             "inflight": self._inflight,
-            "arena": None,
-            "transport": self.transport,
             "cache": self._cache,
             "cache_owned": self._cache_owned,
         }
@@ -711,7 +573,7 @@ class ShardedSamplingEngine:
         graph content, edge probabilities, stream entropy (philox) or
         initial stream state (legacy), chunk size, sampler mode — and
         exclude the byte-identical substrate (engine / backend /
-        transport / start method / workers)."""
+        start method / workers)."""
         from repro.store.keys import legacy_shard_key, philox_shard_key, state_hash
         from repro.utils.hashing import array_digest, graph_digest
 
@@ -848,29 +710,15 @@ class ShardedSamplingEngine:
         """Σ over shards of sets ever sampled."""
         return int(sum(s.num_total for s in self._shards))
 
-    def shared_memory_bytes(self) -> int:
-        """Bytes the engine itself pins in shared memory: the spawn
-        payload arena, while one is live.  Worker-published result
-        segments are transient (created per chunk, retired at splice)
-        and not counted."""
-        arena = self._resources.get("arena")
-        return int(arena.size) if arena is not None else 0
-
     def memory_bytes(self) -> int:
-        """Σ over shards of bytes held (the Table-4 figure), plus any
-        shared-memory bytes the engine pins itself
-        (:meth:`shared_memory_bytes`) and the resident chunk-block memo
-        of a ``retain_blocks`` engine — honest accounting for the
-        externally-backed payload arena and the warm-pool residency."""
+        """Σ over shards of bytes held (the Table-4 figure), plus the
+        resident chunk-block memo of a ``retain_blocks`` engine — honest
+        accounting for the warm-pool residency."""
         memo_bytes = sum(
             int(members.nbytes) + int(lengths.nbytes)
             for members, lengths in self._block_memo.values()
         )
-        return (
-            int(sum(s.memory_bytes() for s in self._shards))
-            + self.shared_memory_bytes()
-            + int(memo_bytes)
-        )
+        return int(sum(s.memory_bytes() for s in self._shards)) + int(memo_bytes)
 
     # ------------------------------------------------------------------
     # Warm reuse
@@ -882,17 +730,16 @@ class ShardedSamplingEngine:
         This is the leasing contract of the service tier's engine pool:
         everything *run-scoped* is cleared — shards (fresh empty pools:
         ``θ = num_total`` must restart at zero), per-ad tail-block
-        caches, in-flight prefetch futures (cancelled or drained, their
-        unconsumed segments unlinked), dsan digests (a fresh recorder
-        with the original ``expected`` map), legacy request ordinals and
-        divergence marks (the stateful legacy streams are rewound to
-        their captured initial states), sampler positions, and the
-        ``backend_invocations`` counter — while everything *engine-
-        scoped* stays warm: the worker pool and its JIT-compiled
-        backend state, the spawn payload arena, the shard cache handle
-        and content keys, and the ``retain_blocks`` chunk-block memo
-        (chunks are pure functions of ``(entropy, ad, chunk)``, which
-        reuse does not change).
+        caches, in-flight prefetch futures (cancelled or drained), dsan
+        digests (a fresh recorder with the original ``expected`` map),
+        legacy request ordinals and divergence marks (the stateful
+        legacy streams are rewound to their captured initial states),
+        sampler positions, and the ``backend_invocations`` counter —
+        while everything *engine-scoped* stays warm: the worker pool
+        with its payload and JIT-compiled backend state, the shard cache
+        handle and content keys, and the ``retain_blocks`` chunk-block
+        memo (chunks are pure functions of ``(entropy, ad, chunk)``,
+        which reuse does not change).
 
         Without this, a second allocation against a reused engine
         inherits the previous run's tail blocks and dsan state — stale
@@ -1021,8 +868,7 @@ class ShardedSamplingEngine:
         greedy selection).  Speculation cannot change results: chunks
         are pure functions of their ``(entropy, ad, chunk)`` address, so
         a speculative chunk is byte-identical whether or not it ends up
-        needed — and one never consumed is discarded (its segment
-        unlinked) at :meth:`close`.
+        needed — and one never consumed is discarded at :meth:`close`.
 
         No-op (returns 0) for serial engines, legacy streams, degraded
         or closed engines, and for chunks already pooled, cached, or in
@@ -1059,7 +905,7 @@ class ShardedSamplingEngine:
                     executor = self._ensure_executor()
                 self._inflight[key] = executor.submit(
                     _worker_sample_chunk, self._engine_id, ad, self.mode,
-                    chunk_index, self.transport,
+                    chunk_index,
                 )
                 self.backend_invocations += 1
                 submitted += 1
@@ -1168,7 +1014,7 @@ class ShardedSamplingEngine:
     ) -> None:
         """Memoize a full chunk block for the resident-engine memo (see
         ``retain_blocks``); ``copy`` when the arrays view a buffer that
-        dies with the caller (cache entry, shm segment)."""
+        dies with the caller (a cache entry)."""
         if not self._retain_blocks:
             return
         if copy:
@@ -1192,11 +1038,10 @@ class ShardedSamplingEngine:
 
         The load verifies the entry against its stored digest
         (:meth:`repro.store.ShardCache.load`); a verified block is
-        spliced through the pool's single-copy buffer path — the same
-        splice the shm transport uses — and recorded with dsan exactly
-        like a computed block.  Returns ``False`` on miss or quarantined
-        corruption, and the caller recomputes: the cache can only ever
-        save work, never change bytes."""
+        spliced through the pool's single-copy buffer path and recorded
+        with dsan exactly like a computed block.  Returns ``False`` on
+        miss or quarantined corruption, and the caller recomputes: the
+        cache can only ever save work, never change bytes."""
         entry = self._cache.load(self._shard_keys[ad], chunk_index)
         if entry is None:
             return False
@@ -1240,8 +1085,8 @@ class ShardedSamplingEngine:
         cache the block when the chunk is still partially consumed."""
         if self._dsan is not None:
             # Digest the *full* chunk block (workers always compute whole
-            # chunks), so serial, pickle, shm and tail-cache arrivals of
-            # the same chunk hash the same bytes by construction.
+            # chunks), so serial, worker and tail-cache arrivals of the
+            # same chunk hash the same bytes by construction.
             self._dsan.record(ad, chunk_index, block[0], block[1])
         self._retain_block(ad, chunk_index, block)
         members, lengths = _slice_flat(block[0], block[1], lo, hi)
@@ -1251,98 +1096,6 @@ class ShardedSamplingEngine:
             self._tail_blocks[ad] = (chunk_index, block)
         else:
             self._tail_blocks.pop(ad, None)
-
-    def _splice_segment(
-        self, ad: int, chunk_index: int, lo: int, hi: int,
-        name: str, num_sets: int, num_members: int,
-    ) -> None:
-        """Shm-transport splice: attach a worker-published segment,
-        append sets ``[lo, hi)`` straight out of it through the pool's
-        single-copy buffer path, and retire the segment.  Exactly one
-        unlink per segment, on success and error paths alike."""
-        segment = shared_memory.SharedMemory(name=name)
-        closed = False
-        try:
-            lengths = np.frombuffer(
-                segment.buf, dtype=_LENGTH_DTYPE, count=num_sets
-            )
-            bounds = np.zeros(num_sets + 1, dtype=np.int64)
-            np.cumsum(lengths, out=bounds[1:])
-            members_offset = num_sets * _LENGTH_ITEMSIZE
-            if self._dsan is not None:
-                # Same full-chunk digest as _splice_block, straight off
-                # the segment (zero-copy views; a divergence raises here
-                # and the finally below still retires the segment).
-                members_view = np.frombuffer(
-                    segment.buf, dtype=MEMBER_DTYPE, count=num_members,
-                    offset=members_offset,
-                )
-                try:
-                    self._dsan.record(ad, chunk_index, members_view, lengths)
-                finally:
-                    del members_view
-            if self._cache is not None:
-                # Write-through straight off the segment (zero-copy
-                # views; write_block serializes without keeping refs, so
-                # the finally below can still retire the segment).
-                members_view = np.frombuffer(
-                    segment.buf, dtype=MEMBER_DTYPE, count=num_members,
-                    offset=members_offset,
-                )
-                try:
-                    self._store_chunk(ad, chunk_index, (members_view, lengths))
-                finally:
-                    del members_view
-            if self._retain_blocks:
-                # Same zero-copy view discipline: _retain_block copies
-                # out of the segment, the view itself must die before
-                # the finally below closes the mapping.
-                members_view = np.frombuffer(
-                    segment.buf, dtype=MEMBER_DTYPE, count=num_members,
-                    offset=members_offset,
-                )
-                try:
-                    self._retain_block(
-                        ad, chunk_index, (members_view, lengths), copy=True
-                    )
-                finally:
-                    del members_view
-            self._shards[ad].add_flat_from_buffer(
-                segment.buf,
-                num_sets=hi - lo,
-                num_members=int(bounds[hi] - bounds[lo]),
-                lengths_offset=lo * _LENGTH_ITEMSIZE,
-                members_offset=members_offset + int(bounds[lo]) * _MEMBER_ITEMSIZE,
-            )
-            self._samplers[ad].num_sampled += hi - lo
-            if hi < self.chunk_size:
-                # The tail cache must own its block: the segment dies now.
-                members = np.frombuffer(
-                    segment.buf, dtype=MEMBER_DTYPE, count=num_members,
-                    offset=members_offset,
-                )
-                self._tail_blocks[ad] = (
-                    chunk_index, (members.copy(), lengths.copy())
-                )
-                del members
-            else:
-                self._tail_blocks.pop(ad, None)
-            del lengths, bounds
-            segment.close()
-            closed = True
-        finally:
-            if not closed:
-                try:
-                    segment.close()
-                except BufferError:
-                    # An exception left a live view (the traceback pins
-                    # the frame); the mapping is reclaimed at GC — the
-                    # unlink below still removes the segment itself.
-                    pass
-            try:
-                segment.unlink()
-            except (FileNotFoundError, OSError):
-                pass
 
     def _run_tasks_serial(self, tasks: list[tuple[int, int, int, int]]) -> None:
         for ad, chunk_index, lo, hi in tasks:
@@ -1388,7 +1141,7 @@ class ShardedSamplingEngine:
                     executor = self._ensure_executor()
                 pending[key] = executor.submit(
                     _worker_sample_chunk, self._engine_id, ad, self.mode,
-                    chunk_index, self.transport,
+                    chunk_index,
                 )
                 self.backend_invocations += 1
             # Deterministic splice order (ascending ad, then chunk — the
@@ -1413,113 +1166,51 @@ class ShardedSamplingEngine:
                         self._store_chunk(ad, chunk_index, block)
                     self._splice_block(ad, chunk_index, lo, hi, block)
                     continue
-                result = future.result()
-                if self.transport == "shm":
-                    self._splice_segment(
-                        ad, chunk_index, lo, hi, result[2], result[3], result[4]
-                    )
-                else:
-                    block = (result[2], result[3])
-                    self._store_chunk(ad, chunk_index, block)
-                    self._splice_block(ad, chunk_index, lo, hi, block)
+                _, _, members, lengths = future.result()
+                block = (members, lengths)
+                self._store_chunk(ad, chunk_index, block)
+                self._splice_block(ad, chunk_index, lo, hi, block)
         except BaseException:
             # A failed batch (worker crash, submit error, splice error)
             # leaves the request partially applied; don't also leak the
-            # worker pool or any published segments — drain what's still
-            # pending here, then route through the idempotent close()
-            # (which drains the prefetch ledger the same way).
+            # worker pool — drain what's still pending here, then route
+            # through the idempotent close() (which drains the prefetch
+            # ledger the same way).
             self._drain_futures(pending.values())
             self.close()
             raise
 
     def _drain_futures(self, futures) -> None:
-        """Cancel-or-consume a set of in-flight futures: whatever cannot
-        be cancelled is waited for, and (under the shm transport) its
-        never-spliced segment is unlinked."""
+        """Cancel a set of in-flight futures and wait for whatever could
+        not be cancelled (its result is discarded)."""
         futures = list(futures)
         for future in futures:
             future.cancel()
-        for future in futures:
-            if future.cancelled():
-                continue
-            try:
-                result = future.result()
-            except BaseException:
-                continue  # worker failed: _publish_block cleaned up
-            if self.transport == "shm":
-                _unlink_segment(result[2])
+        wait(futures)
 
     # ------------------------------------------------------------------
     # Process-pool plumbing
     # ------------------------------------------------------------------
     @staticmethod
-    def _fork_available() -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    @staticmethod
-    def _shm_available() -> bool:
-        return shared_memory is not None
-
-    @classmethod
-    def resolve_transport(cls, transport: str = "auto") -> str:
-        """Resolve a transport knob to ``"shm"`` or ``"pickle"``.
-
-        ``"auto"`` picks shm where :mod:`multiprocessing.shared_memory`
-        is available; an explicit ``"shm"`` without it raises
-        :class:`~repro.errors.ConfigurationError`.
-        """
-        if transport not in TRANSPORT_MODES:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORT_MODES}, got {transport!r}"
-            )
-        if transport == "pickle":
-            return "pickle"
-        if cls._shm_available():
-            return "shm"
-        if transport == "shm":
-            raise ConfigurationError(
-                "transport='shm' needs multiprocessing.shared_memory, which "
-                "is unavailable on this platform; use transport='pickle'"
-            )
-        return "pickle"
+    def _available_start_methods() -> list[str]:
+        return multiprocessing.get_all_start_methods()
 
     @classmethod
     def _resolve_start_method(cls, requested: str) -> str | None:
         """Resolve the start-method knob to ``"fork"``/``"spawn"``, or
-        ``None`` when no usable method exists (degrade to serial)."""
-        methods = multiprocessing.get_all_start_methods()
-        if requested in ("auto", "fork") and cls._fork_available():
+        ``None`` when the requested method does not exist here (degrade
+        to serial)."""
+        methods = cls._available_start_methods()
+        if requested in ("auto", "fork") and "fork" in methods:
             return "fork"
-        # Spawn ships the payload through a shared-memory arena; without
-        # shared memory it would pay a per-worker graph pickle, so it
-        # degrades instead (the historical no-fork behavior).
-        if (
-            requested in ("auto", "spawn")
-            and "spawn" in methods
-            and cls._shm_available()
-        ):
+        if requested in ("auto", "spawn") and "spawn" in methods:
             return "spawn"
         return None
 
     def _spawn_initargs(self) -> tuple:
-        """Build (once) the spawn payload arena — graph in-CSR + per-ad
-        canonical probability rows — and return the executor initializer
-        arguments describing it."""
-        if self._resources["arena"] is None:
-            parts = _payload_parts(self.graph, self._samplers)
-            layout, total = _payload_layout(parts)
-            arena = shared_memory.SharedMemory(create=True, size=total)  # reprolint: disable=R104 -- arena outlives this call by design; _release_engine_resources owns the single unlink (close/GC-finalizer), the error path below unlinks locally
-            try:
-                for (key, dtype, count, off), (_, array) in zip(layout, parts):
-                    np.frombuffer(
-                        arena.buf, dtype=np.dtype(dtype), count=count, offset=off
-                    )[:] = array
-            except BaseException:
-                arena.close()
-                arena.unlink()
-                raise
-            self._resources["arena"] = arena
-            self._arena_layout = layout
+        """The spawn executor initializer's arguments: the payload arrays
+        (graph in-CSR + per-ad canonical probability rows) and what a
+        worker needs to rebuild its registry entry around them."""
         backend_spec = (
             self.backend.name
             if self.backend.name in ("numpy", "numba")
@@ -1527,8 +1218,7 @@ class ShardedSamplingEngine:
         )
         return (
             self._engine_id,
-            self._resources["arena"].name,
-            self._arena_layout,
+            _payload_parts(self.graph, self._samplers),
             (self.graph.num_nodes, self.graph.num_edges, self.num_ads),
             tuple(self._entropies),
             self.chunk_size,
@@ -1541,17 +1231,6 @@ class ShardedSamplingEngine:
             workers = self._max_workers
             if workers is None:
                 workers = max(1, os.cpu_count() or 1)
-            if self.transport == "shm":
-                # Start the parent's resource tracker *before* the pool exists
-                # so every worker (fork children inherit it; spawn children
-                # receive its fd) reports segment register/unregister events to
-                # the same tracker process.  Without this, each fork child
-                # lazily launches a private tracker on its first segment
-                # create, and that tracker warns about "leaked" segments at
-                # shutdown because the parent's unlink was reported elsewhere.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
             context = multiprocessing.get_context(self._start_method)
             if self._start_method == "spawn":
                 executor = ProcessPoolExecutor(
@@ -1569,12 +1248,11 @@ class ShardedSamplingEngine:
 
     def close(self) -> None:
         """Cancel in-flight prefetch futures, shut down the worker pool,
-        retire every engine-owned shared-memory segment, and release the
-        payload.
+        and release the payload.
 
         Idempotent and exception-safe: the teardown callback is shared
         with the GC finalizer and runs at most once however many times
-        it is triggered, and every segment is unlinked exactly once.
+        it is triggered.
         """
         if self._finalizer.alive:
             self._finalizer()
@@ -1590,8 +1268,8 @@ class ShardedSamplingEngine:
         # warnings registry's once-per-location dedup cannot swallow the
         # warning for every engine after the first in a process.
         warnings.warn(
-            f"no usable process start method (fork unavailable, spawn needs "
-            f"shared memory); ShardedSamplingEngine #{self._engine_id} "
+            f"no usable process start method (neither fork nor spawn is "
+            f"available); ShardedSamplingEngine #{self._engine_id} "
             f"(engine='process') will sample serially",
             RuntimeWarning,
             stacklevel=4,

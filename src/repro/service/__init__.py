@@ -1,7 +1,7 @@
 """Allocation-as-a-service: a resident server over warm engine pools.
 
 The batch CLI pays the full engine lifecycle on every run — process
-pool spin-up, shared-memory arena setup, backend resolution — costs
+pool spin-up, payload shipment to the workers, backend resolution — costs
 that dwarf the sampling itself once the shard cache is warm.  This
 package keeps those substrates *resident*:
 

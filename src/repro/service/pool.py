@@ -1,15 +1,14 @@
 """Warm engine pools: lease, run, reset, repeat.
 
 A :class:`~repro.rrset.sharded.ShardedSamplingEngine` bundles the
-expensive run-independent substrates — the worker process pool, the
-shared-memory payload arena, the resolved sampling backend, the shard
-cache handle, and (on pooled engines) the in-memory block memo of every
-RR chunk already sampled.  :class:`EnginePool` keeps finished engines
-alive keyed by the inputs that pin their sample bytes, so the next
-allocation of the same instance skips both the lifecycle cost *and* —
-through the retained blocks — the sampling itself: a warm resubmit
-performs zero sampling-backend invocations yet stays byte-identical to
-a cold run.
+expensive run-independent substrates — the worker process pool with
+its payload, the resolved sampling backend, the shard cache handle, and
+(on pooled engines) the in-memory block memo of every RR chunk already
+sampled.  :class:`EnginePool` keeps finished engines alive keyed by the
+inputs that pin their sample bytes, so the next allocation of the same
+instance skips both the lifecycle cost *and* — through the retained
+blocks — the sampling itself: a warm resubmit performs zero
+sampling-backend invocations yet stays byte-identical to a cold run.
 
 Leases are exclusive: an engine serves one session at a time, and
 :meth:`EnginePool.lease` calls
@@ -34,7 +33,7 @@ class EngineLease:
     """One exclusive hold on a pooled engine.
 
     ``warm`` records whether the engine was reused from the pool (its
-    process pool, arena and retained blocks intact) or built cold for
+    process pool and retained blocks intact) or built cold for
     this lease.  Return it with :meth:`EnginePool.release` — or use the
     lease as a context manager, which releases on exit.
     """
@@ -73,7 +72,7 @@ class EnginePool:
     change its samples or its recorded substrate: the problem content
     (graph digest + per-ad probability digests), the stream contract
     (seed, rng, chunk size, sampler mode) and the substrate knobs
-    (engine mode, backend, transport, start method, worker count, dsan).
+    (engine mode, backend, start method, worker count, dsan).
     Two requests with equal keys are guaranteed interchangeable engines.
 
     Runs seeded with a live generator object are not poolable — the
@@ -118,7 +117,6 @@ class EnginePool:
             allocator.sampler_mode,
             allocator.engine,
             str(allocator.backend),
-            allocator.transport,
             allocator.start_method,
             allocator.max_workers,
             allocator.dsan,
@@ -143,7 +141,7 @@ class EnginePool:
                 try:
                     engine.reset_for_reuse()
                 except Exception:
-                    # A dead engine (closed pool, torn-down arena) is
+                    # A dead engine (closed pool, released payload) is
                     # dropped, not served; keep looking, else build cold.
                     engine.close()
                     continue

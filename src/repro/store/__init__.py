@@ -15,8 +15,8 @@ benchmark history.
 A warm second run of the same allocation performs **zero**
 sampling-backend invocations and is byte-identical to a cold one: every
 hit is verified against its stored dsan digest before it is spliced
-(corruption → warn + recompute), so the cache — like the engine, the
-backend, and the transport — sits outside the determinism contract.
+(corruption → warn + recompute), so the cache — like the engine and
+the backend — sits outside the determinism contract.
 
 Modules: :mod:`~repro.store.keys` (the key schema),
 :mod:`~repro.store.blocks` (the entry file format),

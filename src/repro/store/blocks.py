@@ -1,8 +1,7 @@
 """On-disk format of one cached RR-set block (a ``.blk`` entry file).
 
 The payload is byte-for-byte the engine's packed chunk-block layout —
-``int64`` lengths, then ``int32`` members, exactly the bytes a
-shared-memory transport segment carries and exactly the bytes the dsan
+``int64`` lengths, then ``int32`` members, exactly the bytes the dsan
 digest covers — preceded by one fixed 64-byte header and (for legacy
 entries) followed by a JSON post-request stream-state snapshot::
 
@@ -92,9 +91,9 @@ def write_block(
     """Atomically write one entry file; returns ``(nbytes, digest)``.
 
     ``members``/``lengths`` are coerced to the packed dtypes (the same
-    coercion the shm transport applies), the digest is computed over the
-    packed bytes, and the file lands via tmp + ``os.replace`` so readers
-    only ever observe complete entries.
+    coercion :func:`~repro.rrset.dsan.digest_block` applies), the digest
+    is computed over the packed bytes, and the file lands via tmp +
+    ``os.replace`` so readers only ever observe complete entries.
     """
     lengths = np.ascontiguousarray(lengths, dtype=_LENGTH_DTYPE)
     members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)

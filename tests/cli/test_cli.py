@@ -106,34 +106,26 @@ def test_allocate_rejects_unknown_backend():
         main(["allocate", "figure1", "--backend", "cuda"])
 
 
-def test_allocate_transport_and_prefetch_flags(capsys):
+def test_allocate_prefetch_flag(capsys):
+    args = build_parser().parse_args(["allocate", "figure1"])
+    assert args.start_method == "auto"
+    assert args.no_prefetch is False
     code = main([
         "allocate", "figure1", "--algorithm", "tirm",
         "--eval-runs", "50", "--max-rr-sets", "1000",
-        "--engine", "process", "--workers", "2",
-        "--transport", "shm", "--no-prefetch",
+        "--engine", "process", "--workers", "2", "--no-prefetch",
     ])
     assert code == 0
     assert "TIRM on figure1" in capsys.readouterr().out
 
 
-def test_parser_defaults_transport_to_auto():
-    args = build_parser().parse_args(["allocate", "figure1"])
-    assert args.transport == "auto"
-    assert args.start_method == "auto"
-    assert args.no_prefetch is False
-    args = build_parser().parse_args(
-        ["allocate", "figure1", "--transport", "pickle",
-         "--start-method", "spawn", "--no-prefetch"]
-    )
-    assert args.transport == "pickle"
-    assert args.start_method == "spawn"
-    assert args.no_prefetch is True
-
-
-def test_allocate_rejects_unknown_transport():
-    with pytest.raises(SystemExit):
-        main(["allocate", "figure1", "--transport", "carrier-pigeon"])
+def test_allocate_rejects_unknown_transport(capsys):
+    """`allocate` has no worker-transport flag (the engine implies the
+    transport): argparse rejects one with exit 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["allocate", "figure1", "--transport", "pickle"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --transport pickle" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["allocate", "figure1", "--start-method", "forkserver"])
 
@@ -383,6 +375,35 @@ def test_catalog_ls_show_diff_roundtrip(tmp_path, capsys):
     # Cold vs warm differ only in substrate fields — contract holds.
     assert main(["diff", "1", "2", "--cache", str(tmp_path)]) == 0
     out = capsys.readouterr().out
+    assert "contract fields identical" in out
+
+
+def test_catalog_shows_and_diffs_an_shm_era_row(tmp_path, capsys):
+    """Rows recorded by older runs carry ``transport="shm"``, a value no
+    engine records any more; ``show`` and ``diff`` still display them,
+    and ``diff`` treats the field as substrate, never contract."""
+    from repro.store.catalog import ExperimentCatalog
+
+    row = {
+        "algorithm": "tirm", "dataset": "figure1", "seed": 7,
+        "rng": "philox", "chunk_size": 64, "engine": "process",
+        "backend": "numpy", "dsan_root": "r" * 32, "iterations": 3,
+        "total_rr_sets": 900, "cache_hits": 0, "cache_misses": 3,
+        "backend_invocations": 3, "provenance": {}, "stats": {},
+    }
+    with ExperimentCatalog(str(tmp_path)) as catalog:
+        catalog.record_allocation({**row, "transport": "shm"})
+        catalog.record_allocation({**row, "transport": "pickle"})
+
+    assert main(["show", "1", "--cache", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    (line,) = [line for line in out.splitlines() if "transport" in line]
+    assert "shm" in line
+
+    assert main(["diff", "1", "2", "--cache", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    (line,) = [line for line in out.splitlines() if "transport" in line]
+    assert "shm" in line and "pickle" in line and "(substrate)" in line
     assert "contract fields identical" in out
 
 

@@ -378,6 +378,36 @@ class TestResumeValidation:
         assert lineage["resumed_at_iteration"] == 1
         assert lineage["lineage"][-1]["at_iteration"] == 1
 
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_checkpoint_recording_the_shm_transport_resumes(self, tmp_path, engine):
+        """Older runs stored ``transport: "shm"``, a value no engine
+        records any more.  ``transport`` is provenance, not in
+        ``_MATCH_KEYS``, so such a checkpoint still resumes to the
+        byte-identical allocation."""
+        import json
+
+        problem = figure1_problem()
+        path = tmp_path / "ck.npz"
+        kwargs = dict(chunk_size=64)
+        reference = _allocator(**kwargs).allocate(problem)
+        k = max(1, reference.stats["iterations"] // 2)
+        _allocator(
+            checkpoint_path=path, max_iterations=k, **kwargs
+        ).allocate(problem)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["meta_json"][()]))
+        assert meta["config"]["transport"] == "inline"
+        meta["config"]["transport"] = "shm"
+        arrays["meta_json"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        assert TIRMCheckpoint.load(path).config["transport"] == "shm"
+        resumed = _allocator(
+            engine=engine, max_workers=2, resume_from=path, **kwargs
+        ).allocate(problem)
+        assert resumed.stats["resumed_at_iteration"] == k
+        assert _results_identical(resumed, reference)
+
 
 # ---------------------------------------------------------------------------
 # The kill-and-resume determinism property (engine × sampler × rng)

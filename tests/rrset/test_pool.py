@@ -66,7 +66,7 @@ class TestAddFlat:
 
 class TestAddFlatFromBuffer:
     """Single-copy ingest of a packed ``[int64 lengths][int32 members]``
-    block — the parent-side splice path of the shm transport."""
+    block — the parent-side splice path of shard-cache hits."""
 
     @staticmethod
     def _packed(members, lengths, pad_before=0):

@@ -208,7 +208,7 @@ class TestTIRMIntegration:
             TIRMAllocator(engine="threads")
 
 
-def _exploding_worker(engine_id, ad, mode, chunk_index, transport="pickle"):
+def _exploding_worker(engine_id, ad, mode, chunk_index):
     # module-level so the fork pool can pickle it by reference
     raise ValueError("worker exploded")
 
@@ -273,7 +273,7 @@ class TestLifecycle:
             problem.graph, _probs(problem), seeds=0, engine="process",
             chunk_size=8, max_workers=2,
         )
-        if not engine._fork_available():  # pragma: no cover - platform guard
+        if engine.start_method != "fork":  # pragma: no cover - platform guard
             engine.close()
             pytest.skip("fork start method unavailable")
         with pytest.raises(ValueError, match="worker exploded"):
@@ -361,13 +361,13 @@ class TestResetForReuse:
                 fresh.sample({0: 25, 1: 18, 2: 7})
                 _assert_shards_equal(reused, fresh)
 
-    def test_reset_keeps_process_pool_and_arena_warm(self):
+    def test_reset_keeps_process_pool_warm(self):
         problem = _problem(19)
         engine = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, engine="process",
             chunk_size=16, max_workers=2,
         )
-        if not engine._fork_available():  # pragma: no cover - platform guard
+        if engine.start_method != "fork":  # pragma: no cover - platform guard
             engine.close()
             pytest.skip("fork start method unavailable")
         with engine:

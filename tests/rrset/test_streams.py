@@ -3,9 +3,9 @@
 The contract under test (``rng="philox"``): every RR set is a pure
 function of ``(global_seed, ad, set_index)`` given a chunk size — so the
 sampled pools must be byte-identical across serial execution, 1-worker
-and N-worker process pools, every transport (pickle vs shared memory),
-every start method (fork vs spawn), prefetch on or off, and any way of
-splitting the same index ranges across requests.
+and N-worker process pools, every start method (fork vs spawn),
+prefetch on or off, and any way of splitting the same index ranges
+across requests.
 """
 
 from __future__ import annotations
@@ -304,57 +304,51 @@ class TestWorkerCountInvariance:
         assert all(ad == 0 for ad, _, _, _ in tasks)
 
 
-class TestTransportMatrix:
-    """Transport × start-method acceptance matrix.
+class TestStartMethodMatrix:
+    """Start-method acceptance matrix.
 
     Every leg must produce pools byte-identical to the serial engine —
-    the shared-memory descriptor path and the spawn payload arena are
-    alternative plumbings for the same pure chunk functions, so they are
-    byte-identical *by construction* and asserted here.
+    fork workers inherit the payload, spawn workers receive it through
+    the executor initializer, and both run the same pure chunk
+    functions, so they are byte-identical *by construction* and asserted
+    here.
     """
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pools_byte_identical(self, start_method, transport):
+    def test_pools_byte_identical(self, start_method):
         problem = _problem(4, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8, engine="serial",
             chunk_size=16,
         ) as serial, ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8, engine="process",
-            max_workers=2, chunk_size=16, transport=transport,
-            start_method=start_method,
+            max_workers=2, chunk_size=16, start_method=start_method,
         ) as process:
-            assert process.transport == transport
+            assert serial.transport == "inline"
+            assert process.transport == "pickle"
             assert process.start_method == start_method
             for requests in ({0: 70, 1: 40}, {0: 33}, {1: 5}):
                 serial.sample(requests)
                 process.sample(requests)
             _assert_fingerprints_equal(_fingerprint(serial), _fingerprint(process))
 
-    def test_spawn_arena_is_accounted_and_released(self):
+    def test_memory_bytes_counts_shards_and_block_memo(self):
         problem = _problem(4, num_ads=2)
-        eng = ShardedSamplingEngine(
+        with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8, engine="process",
             max_workers=2, chunk_size=16, start_method="spawn",
-        )
-        try:
-            eng.sample({0: 20})
-            assert eng.shared_memory_bytes() > 0
+            retain_blocks=True,
+        ) as eng:
+            eng.sample({0: 20, 1: 40})
             shard_bytes = sum(
                 eng.shard(ad).memory_bytes() for ad in range(eng.num_ads)
             )
-            assert eng.memory_bytes() == shard_bytes + eng.shared_memory_bytes()
-        finally:
-            eng.close()
-        assert eng.shared_memory_bytes() == 0
-
-    def test_resolve_transport(self):
-        assert ShardedSamplingEngine.resolve_transport("pickle") == "pickle"
-        resolved = ShardedSamplingEngine.resolve_transport("auto")
-        assert resolved in ("pickle", "shm")
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine.resolve_transport("carrier-pigeon")
+            memo_bytes = sum(
+                members.nbytes + lengths.nbytes
+                for members, lengths in eng._block_memo.values()
+            )
+            assert memo_bytes > 0
+            assert eng.memory_bytes() == shard_bytes + memo_bytes
 
     def test_rejects_bad_start_method(self):
         problem = _problem(4, num_ads=1)
@@ -366,7 +360,7 @@ class TestTransportMatrix:
     def test_repr_names_the_transport(self):
         problem = _problem(4, num_ads=1)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), transport="pickle"
+            problem.graph, _probs(problem), engine="process"
         ) as eng:
             assert "transport='pickle'" in repr(eng)
 
@@ -450,14 +444,19 @@ class TestPrefetch:
         eng.close()  # idempotent with drained futures
 
 
+def _only_start_methods(monkeypatch, *methods):
+    monkeypatch.setattr(
+        ShardedSamplingEngine, "_available_start_methods",
+        staticmethod(lambda: list(methods)),
+    )
+
+
 class TestDegradedFallback:
-    """Resolution ladder: fork → spawn (needs shared memory) → serial."""
+    """Resolution ladder: fork → spawn → serial."""
 
     def test_no_fork_falls_back_to_spawn(self, monkeypatch):
         problem = _problem(6, num_ads=1)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
+        _only_start_methods(monkeypatch, "spawn", "forkserver")
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, engine="process",
             chunk_size=8,
@@ -466,19 +465,13 @@ class TestDegradedFallback:
 
     def test_warns_once_per_engine_and_matches_serial(self, monkeypatch):
         problem = _problem(6, num_ads=2)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
-        )
+        _only_start_methods(monkeypatch)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, engine="process", chunk_size=8
         ) as eng, ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, engine="serial", chunk_size=8
         ) as serial:
             assert eng.start_method is None
-            assert eng.transport == "pickle"  # auto falls back without shm
             with pytest.warns(RuntimeWarning, match="no usable process start"):
                 eng.sample({0: 30, 1: 30})
             # the second request must not warn again on the same engine
@@ -491,12 +484,7 @@ class TestDegradedFallback:
 
     def test_each_engine_instance_warns(self, monkeypatch):
         problem = _problem(6, num_ads=2)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
-        )
+        _only_start_methods(monkeypatch, "forkserver")
         for _ in range(2):  # a fresh engine warns even after another already did
             with ShardedSamplingEngine(
                 problem.graph, _probs(problem), seeds=4, engine="process",
@@ -507,9 +495,7 @@ class TestDegradedFallback:
 
     def test_explicit_fork_without_fork_degrades(self, monkeypatch):
         problem = _problem(6, num_ads=1)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
+        _only_start_methods(monkeypatch, "spawn")
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, engine="process",
             chunk_size=8, start_method="fork",
@@ -517,16 +503,6 @@ class TestDegradedFallback:
             assert eng.start_method is None
             with pytest.warns(RuntimeWarning, match="will sample serially"):
                 eng.sample({0: 10})
-
-    def test_explicit_shm_without_shm_raises(self, monkeypatch):
-        problem = _problem(6, num_ads=1)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
-        )
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine(
-                problem.graph, _probs(problem), engine="process", transport="shm"
-            )
 
 
 class TestTeardown:
@@ -558,8 +534,9 @@ class TestTeardown:
 
 
 class TestShmHygiene:
-    """No shared-memory segment may outlive the engine, and teardown must
-    be silent — no resource_tracker leaked-segment warnings."""
+    """Regression guard: the process engine creates no shared-memory
+    segment that outlives it, and teardown is silent — no
+    resource_tracker leaked-resource warnings."""
 
     def test_no_segments_left_in_dev_shm(self):
         if not os.path.isdir("/dev/shm"):
@@ -568,7 +545,7 @@ class TestShmHygiene:
         problem = _problem(7, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=3, engine="process",
-            chunk_size=16, max_workers=2, transport="shm",
+            chunk_size=16, max_workers=2,
         ) as eng:
             eng.sample({0: 40, 1: 20})
             eng.prefetch({0: 100})  # left unconsumed on purpose
@@ -580,7 +557,7 @@ class TestShmHygiene:
         assert not leaked, f"leaked shared-memory segments: {leaked}"
 
     def test_teardown_emits_no_resource_tracker_warnings(self):
-        """Run a full shm life cycle (fork transport + spawn arena +
+        """Run a full engine life cycle (fork pool + spawn pool +
         abandoned prefetch) in a subprocess and assert interpreter
         shutdown prints nothing — the resource tracker only reports
         stale registrations at exit, so the check needs a real exit."""
@@ -594,7 +571,7 @@ class TestShmHygiene:
             probs = [constant_probabilities(graph, 0.08)] * 2
             with ShardedSamplingEngine(
                 graph, probs, seeds=5, engine="process", chunk_size=8,
-                max_workers=2, transport="shm", start_method="fork",
+                max_workers=2, start_method="fork",
             ) as eng:
                 eng.sample({0: 30, 1: 10})
                 eng.prefetch({0: 60})  # abandoned in-flight work
@@ -697,18 +674,24 @@ class TestTIRMContract:
         assert off.stats["prefetch"] is False
 
     def test_stats_and_provenance_record_the_transport(self):
+        """The transport is derived from the engine, never a knob: serial
+        splices in-process, the process pool pickles, dist uses sockets
+        (``tests/dist`` pins ``"socket"`` on a live fleet)."""
         problem = _problem(9, num_ads=2)
-        result = TIRMAllocator(
-            seed=3, initial_pilot=300, max_rr_sets_per_ad=2_000, epsilon=0.25,
-            chunk_size=64, transport="pickle",
-        ).allocate(problem)
-        assert result.stats["transport"] == "pickle"
-        assert result.allocation.provenance["transport"] == "pickle"
-        assert "start_method" in result.stats
+        for engine, transport in (("serial", "inline"), ("process", "pickle")):
+            result = TIRMAllocator(
+                seed=3, initial_pilot=300, max_rr_sets_per_ad=2_000,
+                epsilon=0.25, chunk_size=64, engine=engine, max_workers=2,
+            ).allocate(problem)
+            assert result.stats["transport"] == transport
+            assert result.allocation.provenance["transport"] == transport
+            assert "start_method" in result.stats
+        allocator = TIRMAllocator(engine="dist", coordinator={"port": 0})
+        assert allocator._checkpoint_config(problem)["transport"] == "socket"
 
     def test_rejects_bad_transport_params(self):
-        with pytest.raises(ConfigurationError):
-            TIRMAllocator(transport="carrier-pigeon")
+        with pytest.raises(TypeError, match="transport"):
+            TIRMAllocator(transport="shm")
         with pytest.raises(ConfigurationError):
             TIRMAllocator(start_method="forkserver")
 

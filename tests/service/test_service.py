@@ -190,6 +190,10 @@ class TestJobManager:
         with JobManager(cache=None) as manager:
             with pytest.raises(ServiceError, match="unknown allocator"):
                 manager.submit(problem=problem, params={"bogus_knob": 1})
+            # `transport` is not an allocator parameter (the engine
+            # implies it): the error names it, no traceback escapes.
+            with pytest.raises(ServiceError, match="'transport'"):
+                manager.submit(problem=problem, params={"transport": "shm"})
             with pytest.raises(ServiceError, match="dataset name or a problem"):
                 manager.submit()
 
