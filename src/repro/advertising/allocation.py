@@ -161,6 +161,14 @@ class Allocation:
             and self._user_counts[user] < bounds.kappa[user]
         )
 
+    def eligible_mask(self, ad: int, bounds: AttentionBounds) -> np.ndarray:
+        """:meth:`can_assign` for every user at once: a length-``n``
+        boolean mask of the users still under ``κ_u`` that are not yet
+        seeds for ad ``ad``."""
+        mask = self._user_counts < bounds.kappa
+        mask[list(self._seed_sets[ad])] = False
+        return mask
+
     # ------------------------------------------------------------------
     def copy(self) -> "Allocation":
         """Deep copy (provenance included)."""

@@ -14,10 +14,11 @@ loop into discrete, externally steppable states:
 * ``PILOT`` — per-ad state construction plus the batched pilot ensure
   (or, on resume, the checkpoint restore);
 * ``ESTIMATE_THETA`` — the first ``θ_i = L(1, ε)`` targets for every ad;
-* ``SELECT`` — one greedy pick-and-assign (Algorithm 3's lazy selector
-  with the cross-ad order-independent tie-break);
+* ``SELECT`` — one greedy pick-and-assign (Algorithm 3's vectorized
+  scan over each ad's coverage counters, with the cross-ad
+  order-independent tie-break);
 * ``GROW`` — the Algorithm-4 growth event the previous pick triggered:
-  ``s_i`` revision, θ top-up, coverage re-estimation, heap rebuild.
+  ``s_i`` revision, θ top-up, coverage re-estimation.
 
 :meth:`AllocationSession.step` advances the machine and returns a
 progress snapshot — the :mod:`repro.rrset.checkpoint` payload
@@ -106,8 +107,8 @@ class _AdState:
     revenue: float = 0.0
     seeds_in_order: list[int] = field(default_factory=list)
     marginal_coverage: dict[int, int] = field(default_factory=dict)
-    heap: list[tuple[float, int]] = field(default_factory=list)
     active: bool = True
+    candidates_scanned: int = 0  # observation only, never checkpointed
 
     @property
     def theta(self) -> int:
@@ -304,11 +305,8 @@ class AllocationSession:
                     "at_iteration": self.checkpoint.iterations,
                 }
             ]
-            # Heaps are derived state: the lazy selector's answers are
-            # pure functions of the coverage counters, so rebuilding
-            # keeps fresh and resumed runs on identical trajectories.
-            for ad in range(self.problem.num_ads):
-                self._rebuild_heap(ad, self.states[ad])
+            # Selection reads the restored coverage counters directly:
+            # there is no derived state to rebuild.
             self.start_iterations = self.iterations
             self.state = SELECT
             self._check_cancel()
@@ -335,8 +333,6 @@ class AllocationSession:
         self.engine.ensure(
             {ad: self._theta_for(self.states[ad], s=1) for ad in range(h)}
         )
-        for ad in range(h):
-            self._rebuild_heap(ad, self.states[ad])
         self.start_iterations = self.iterations
         self.state = SELECT
         self._check_cancel()
@@ -513,6 +509,10 @@ class AllocationSession:
             # Actual compute performed — the warm-start headline: a run
             # served entirely from the shard cache reports zero here.
             "backend_invocations": engine.backend_invocations,
+            # Summed scanned-prefix lengths of this run's selections.
+            "candidates_scanned": int(
+                sum(s.candidates_scanned for s in self.states)
+            ),
         }
         cache_stats = engine.cache_stats()
         if cache_stats is not None:
@@ -684,7 +684,6 @@ class AllocationSession:
             for node in state.seeds_in_order:
                 state.marginal_coverage[node] += state.collection.remove_covered(node)
             self._recompute_revenue(ad, state)
-            self._rebuild_heap(ad, state)
 
     def _recompute_revenue(self, ad: int, state: _AdState) -> None:
         self.config._recompute_revenue(self.problem, ad, state, self.cpes)
@@ -692,9 +691,6 @@ class AllocationSession:
     # ------------------------------------------------------------------
     # Candidate selection (Algorithm 3 — the config's policy methods)
     # ------------------------------------------------------------------
-    def _rebuild_heap(self, ad: int, state: _AdState) -> None:
-        self.config._rebuild_heap(self.problem, ad, state)
-
     def _best_candidate(self, ad: int, state: _AdState):
         return self.config._best_candidate(
             self.problem, ad, state, self.allocation, self.budgets, self.cpes

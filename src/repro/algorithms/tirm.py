@@ -16,13 +16,16 @@ direct TIM application faces:
   sample the extra RR-sets, and re-estimate existing seeds' coverage
   against them (Algorithm 4) so future marginals stay accurate.
 
-Differences from the pseudocode, both documented in DESIGN.md:
+Differences from the pseudocode, documented in ``docs/reproduction.md``
+("TIRM deviations from the pseudocode"):
 
 * ``s_i`` grows by at least 1 when triggered (the literal ``⌊·⌋`` can
   return 0, freezing ``θ_i`` forever);
 * ``select_rule="weighted"`` (default) ranks candidates by
   ``δ(v, i) · coverage`` — the true marginal-revenue order Algorithm 1
-  maximises; ``"coverage"`` gives the literal Algorithm-3 ranking.
+  maximises; ``"coverage"`` gives the literal Algorithm-3 ranking;
+* drops within 1e-12 of the best across ads are ties, broken on the
+  smaller node id, so the pick does not depend on catalog order.
 
 This module is the **batch facade**: parameter validation, the
 checkpoint compatibility record, and engine/cache lifecycle.  The loop
@@ -36,8 +39,6 @@ tier) drive sessions directly over pooled engines instead.
 
 from __future__ import annotations
 
-import heapq
-import math
 import os
 
 import numpy as np
@@ -493,7 +494,7 @@ class TIRMAllocator(Allocator):
         }
 
     # ------------------------------------------------------------------
-    # Selection / θ policy (Algorithm 3, lazily)
+    # Selection / θ policy (Algorithm 3 as a vectorized scan)
     # ------------------------------------------------------------------
     # These are the *policy* half of the refactor: pure functions of the
     # run state with no engine or lifecycle coupling, kept on the config
@@ -532,87 +533,77 @@ class TIRMAllocator(Allocator):
             )
         )
 
-    def _score(self, problem, ad: int, node: int, cov: int) -> float:
-        if self.select_rule == "weighted":
-            return float(problem.ctps[ad, node]) * cov
-        return float(cov)
-
-    def _rebuild_heap(self, problem, ad: int, state: _AdState) -> None:
-        coverage = state.collection.coverage()
-        nodes = np.flatnonzero(coverage > 0)
-        if self.select_rule == "weighted":
-            scores = problem.ctps[ad, nodes] * coverage[nodes]
-        else:
-            scores = coverage[nodes].astype(np.float64)
-        state.heap = [(-float(s), int(v)) for s, v in zip(scores, nodes)]
-        heapq.heapify(state.heap)
-
-    def _pop_fresh(self, problem, ad: int, state: _AdState, allocation):
-        """Pop the eligible node with the largest *fresh* score.
-
-        Scores only decrease between heap rebuilds (covered sets are
-        removed), so re-pushing stale entries with their current score is
-        sound.  Returns ``(node, coverage, score)`` or ``None`` when no
-        eligible node with positive score remains.
-        """
-        heap = state.heap
-        while heap:
-            neg_score, node = heap[0]
-            if not allocation.can_assign(node, ad, problem.attention):
-                heapq.heappop(heap)
-                continue
-            cov = state.collection.coverage_of(node)
-            current = self._score(problem, ad, node, cov)
-            if current <= 0.0:
-                heapq.heappop(heap)
-                continue
-            if math.isclose(current, -neg_score, rel_tol=1e-12, abs_tol=1e-12):
-                heapq.heappop(heap)
-                return node, cov, current
-            heapq.heapreplace(heap, (-current, node))
-        return None
-
     def _best_candidate(self, problem, ad: int, state: _AdState, allocation, budgets, cpes):
         """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
 
-        With the default ``weighted`` rule, candidates come off the heap
-        in decreasing marginal-revenue order, so drops first rise toward
-        the remaining budget and then only shrink — the scan stops at
-        the first candidate whose marginal fits within the remaining
-        budget (exact argmax, same argument as Algorithm 1's greedy).
-        The ``coverage`` rule reproduces the literal Algorithm 3: only
-        the single top-coverage node is considered.
+        One numpy scan over the pool's coverage counters.  Candidates are
+        the users in ``allocation.eligible_mask`` with a positive score
+        (``δ(v, i) · cov(v)`` under ``weighted``, ``cov(v)`` under
+        ``coverage``), visited in (score desc, node asc) order.  Under
+        ``weighted`` drops first rise toward the remaining budget and then
+        only shrink, so the scan stops at the first candidate whose
+        marginal fits it (exact argmax, as in Algorithm 1's greedy).  That
+        is the top-scoring fitting candidate, so only the overshooting
+        prefix before it needs sorting.  Under ``coverage`` (the literal
+        Algorithm 3) the prefix is the top candidate.  The winner is the ``_beats``
+        fold over the prefix in scan order, skipping drops ≤ 1e-12, which
+        never win it.  The prefix length is added to
+        ``state.candidates_scanned``; ``state.active`` drops only when
+        the ad has no candidate at all.
         """
         remaining = budgets[ad] - state.revenue
         if remaining <= 0:
             return None
+        coverage = state.collection.coverage()
+        scores = (
+            problem.ctps[ad] * coverage if self.select_rule == "weighted" else coverage
+        )
+        eligible = allocation.eligible_mask(ad, problem.attention)
+        nodes = np.flatnonzero(eligible & (scores > 0))
+        if nodes.size == 0:
+            state.active = False
+            return None
+        scores = scores[nodes]
+        covs = coverage[nodes]
+        # The float operations of _marginal_revenue, in the same order.
+        marginals = (
+            cpes[ad] * problem.num_nodes * problem.ctps[ad, nodes] * covs / state.theta
+        )
+        fits = marginals <= remaining
+        if self.select_rule == "coverage":
+            prefix = np.argmax(scores, keepdims=True)
+        elif fits.any():
+            # argmax returns the first maximum: the smallest node id.
+            stop = int(np.argmax(np.where(fits, scores, -np.inf)))
+            top = scores[stop]
+            prefix = np.flatnonzero(
+                (scores > top) | ((scores == top) & (np.arange(nodes.size) <= stop))
+            )
+        else:
+            prefix = np.arange(nodes.size)
+        # Candidates sit in node order: a stable sort on -score gives the
+        # scan order.
+        prefix = prefix[np.argsort(-scores[prefix], kind="stable")]
+        state.candidates_scanned += int(prefix.size)
         num_seeds = len(state.seeds_in_order)
-        scanned: list[tuple[float, int]] = []
+        drops = regret_of(
+            budgets[ad], state.revenue, problem.penalty, num_seeds
+        ) - (
+            np.abs(budgets[ad] - (state.revenue + marginals[prefix]))
+            + float(problem.penalty) * (num_seeds + 1)
+        )
+        positive = drops > 1e-12
+        keep = prefix[positive]
         best = None
         best_drop = 0.0
         best_fits = False
-        while True:
-            top = self._pop_fresh(problem, ad, state, allocation)
-            if top is None:
-                if not scanned and best is None:
-                    state.active = False
-                break
-            node, cov, score = top
-            scanned.append((-score, node))
-            marginal = self._marginal_revenue(problem, ad, state, node, cov, cpes)
-            drop = regret_of(
-                budgets[ad], state.revenue, problem.penalty, num_seeds
-            ) - regret_of(
-                budgets[ad], state.revenue + marginal, problem.penalty, num_seeds + 1
-            )
-            fits = marginal <= remaining
-            if drop > 1e-12 and _beats(drop, fits, best_drop, best_fits):
+        for node, cov, marginal, drop, fit in zip(
+            nodes[keep].tolist(), covs[keep].tolist(), marginals[keep].tolist(),
+            drops[positive].tolist(), fits[keep].tolist(),
+        ):
+            if _beats(drop, fit, best_drop, best_fits):
                 best = (node, cov, marginal, drop)
-                best_drop, best_fits = drop, fits
-            if self.select_rule == "coverage" or fits:
-                break
-        for entry in scanned:
-            heapq.heappush(state.heap, entry)
+                best_drop, best_fits = drop, fit
         return best
 
     def _marginal_revenue(self, problem, ad: int, state: _AdState, node: int,

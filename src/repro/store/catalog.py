@@ -133,7 +133,7 @@ class ExperimentCatalog:
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
             self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
-            self._conn.execute("PRAGMA journal_mode = WAL")
+            self._enable_wal()
             self._conn.execute("PRAGMA synchronous = NORMAL")
             with self._lock, self._conn:
                 self._conn.executescript(_SCHEMA)
@@ -152,6 +152,21 @@ class ExperimentCatalog:
             raise StoreError(
                 f"cannot open experiment catalog at {self.path}: {exc}"
             ) from exc
+
+    def _enable_wal(self) -> None:
+        """Switch the database to WAL mode.  When two processes create
+        the same catalog at once, SQLite can report the loser's lock
+        conflict on this switch at once instead of waiting out the busy
+        timeout, so the switch is retried until that timeout."""
+        deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode = WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
 
     # ------------------------------------------------------------------
     # Lifecycle

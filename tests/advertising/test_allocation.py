@@ -100,6 +100,26 @@ def test_can_assign_respects_bounds():
     assert not alloc.can_assign(0, 1, bounds)  # attention exhausted
 
 
+@given(
+    kappa=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 2)), max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_eligible_mask_matches_can_assign(kappa, picks):
+    n = len(kappa)
+    bounds = AttentionBounds(kappa)
+    alloc = Allocation(3, n)
+    for user, ad in picks:
+        if user < n and alloc.can_assign(user, ad, bounds):
+            alloc.assign(user, ad)
+    for ad in range(3):
+        mask = alloc.eligible_mask(ad, bounds)
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert mask.tolist() == [
+            bool(alloc.can_assign(user, ad, bounds)) for user in range(n)
+        ]
+
+
 def test_total_seeds_counts_multiplicity():
     alloc = Allocation.from_seed_sets([[0], [0]], num_nodes=1)
     assert alloc.total_seeds() == 2

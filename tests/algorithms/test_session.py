@@ -194,7 +194,8 @@ class TestErrors:
 
     def test_step_failure_lands_in_failed_state(self):
         class Exploding(TIRMAllocator):
-            def _rebuild_heap(self, problem, ad, state):
+            def _best_candidate(self, problem, ad, state, allocation,
+                                budgets, cpes):
                 raise ValueError("boom")
 
         problem = _problem()

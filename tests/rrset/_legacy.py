@@ -4,18 +4,24 @@ This module preserves the original pure-Python implementations that the
 flat-CSR :class:`repro.rrset.pool.RRSetPool` replaced: the
 ``list[np.ndarray]`` collection with its ``list[list[int]]`` inverted
 index, the list-based greedy max-cover, and a TIRM variant wired to
-them.  The equivalence suite asserts the production engine reproduces
-these bit-for-bit (same seeds, same counts, same picks, same
-allocations).  Do not "fix" or optimise this file — its value is being
+them, including the lazy max-heap selector that the vectorized
+``TIRMAllocator._best_candidate`` scan replaced.  The equivalence suite
+asserts the production engine reproduces these bit-for-bit (same seeds,
+same counts, same picks, same allocations).  Do not "fix" or optimise this file — its value is being
 frozen history.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.advertising.regret import regret_of
+from repro.algorithms.greedy import _beats
 from repro.algorithms.tirm import TIRMAllocator, _AdState
 from repro.rrset.sampler import RRSetSampler
 from repro.rrset.tim import required_rr_sets
@@ -152,6 +158,13 @@ def legacy_greedy_max_coverage(
     return chosen, covered
 
 
+@dataclass
+class _LegacyAdState(_AdState):
+    """The per-ad record plus the lazy selector's max-heap."""
+
+    heap: list[tuple[float, int]] = field(default_factory=list)
+
+
 class LegacyTIRMAllocator(TIRMAllocator):
     """TIRM wired to the seed collection, sampler path, and greedy.
 
@@ -239,7 +252,7 @@ class LegacyTIRMAllocator(TIRMAllocator):
             },
         )
 
-    def _initial_state(self, problem, ad: int, rng) -> _AdState:
+    def _initial_state(self, problem, ad: int, rng) -> _LegacyAdState:
         sampler = RRSetSampler(
             problem.graph, problem.ad_edge_probabilities(ad), seed=rng
         )
@@ -248,7 +261,7 @@ class LegacyTIRMAllocator(TIRMAllocator):
             min(self.initial_pilot, self.max_rr_sets_per_ad), self.min_rr_sets_per_ad
         )
         collection.add_sets(sampler.sample(pilot))
-        state = _AdState(sampler=sampler, collection=collection)
+        state = _LegacyAdState(sampler=sampler, collection=collection)
         target = self._theta_for(problem, state, s=1)
         if target > state.theta:
             collection.add_sets(sampler.sample(target - state.theta))
@@ -291,3 +304,119 @@ class LegacyTIRMAllocator(TIRMAllocator):
             state.collection.remove_covered(node)
         self._recompute_revenue(problem, ad, state, cpes)
         self._rebuild_heap(problem, ad, state)
+
+    # The lazy max-heap selector (Algorithm 3, lazily), as it ran before
+    # the vectorized scan replaced it.
+    def _score(self, problem, ad: int, node: int, cov: int) -> float:
+        if self.select_rule == "weighted":
+            return float(problem.ctps[ad, node]) * cov
+        return float(cov)
+
+    def _rebuild_heap(self, problem, ad: int, state) -> None:
+        coverage = state.collection.coverage()
+        nodes = np.flatnonzero(coverage > 0)
+        if self.select_rule == "weighted":
+            scores = problem.ctps[ad, nodes] * coverage[nodes]
+        else:
+            scores = coverage[nodes].astype(np.float64)
+        state.heap = [(-float(s), int(v)) for s, v in zip(scores, nodes)]
+        heapq.heapify(state.heap)
+
+    def _pop_fresh(self, problem, ad: int, state, allocation):
+        """Pop the eligible node with the largest *fresh* score.
+
+        Scores only decrease between heap rebuilds (covered sets are
+        removed), so re-pushing stale entries with their current score is
+        sound.  Returns ``(node, coverage, score)`` or ``None`` when no
+        eligible node with positive score remains.
+        """
+        heap = state.heap
+        while heap:
+            neg_score, node = heap[0]
+            if not allocation.can_assign(node, ad, problem.attention):
+                heapq.heappop(heap)
+                continue
+            cov = state.collection.coverage_of(node)
+            current = self._score(problem, ad, node, cov)
+            if current <= 0.0:
+                heapq.heappop(heap)
+                continue
+            if math.isclose(current, -neg_score, rel_tol=1e-12, abs_tol=1e-12):
+                heapq.heappop(heap)
+                return node, cov, current
+            heapq.heapreplace(heap, (-current, node))
+        return None
+
+    def _best_candidate(self, problem, ad: int, state, allocation, budgets, cpes):
+        """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
+
+        With the default ``weighted`` rule, candidates come off the heap
+        in decreasing marginal-revenue order, so drops first rise toward
+        the remaining budget and then only shrink — the scan stops at
+        the first candidate whose marginal fits within the remaining
+        budget (exact argmax, same argument as Algorithm 1's greedy).
+        The ``coverage`` rule reproduces the literal Algorithm 3: only
+        the single top-coverage node is considered.
+        """
+        remaining = budgets[ad] - state.revenue
+        if remaining <= 0:
+            return None
+        num_seeds = len(state.seeds_in_order)
+        scanned: list[tuple[float, int]] = []
+        best = None
+        best_drop = 0.0
+        best_fits = False
+        while True:
+            top = self._pop_fresh(problem, ad, state, allocation)
+            if top is None:
+                if not scanned and best is None:
+                    state.active = False
+                break
+            node, cov, score = top
+            scanned.append((-score, node))
+            marginal = self._marginal_revenue(problem, ad, state, node, cov, cpes)
+            drop = regret_of(
+                budgets[ad], state.revenue, problem.penalty, num_seeds
+            ) - regret_of(
+                budgets[ad], state.revenue + marginal, problem.penalty, num_seeds + 1
+            )
+            fits = marginal <= remaining
+            if drop > 1e-12 and _beats(drop, fits, best_drop, best_fits):
+                best = (node, cov, marginal, drop)
+                best_drop, best_fits = drop, fits
+            if self.select_rule == "coverage" or fits:
+                break
+        for entry in scanned:
+            heapq.heappush(state.heap, entry)
+        return best
+
+
+class HeapOracleTIRMAllocator(TIRMAllocator):
+    """Production TIRM whose selector is the frozen lazy heap.
+
+    It runs through :class:`~repro.algorithms.session.AllocationSession`
+    like the production allocator.  The session no longer keeps heaps,
+    so the oracle rebuilds an ad's heap itself whenever that ad's
+    ``state.theta`` changes: coverage only rises when sets are added,
+    which is exactly when the session used to rebuild.  Each non-empty
+    pop counts as one scanned candidate, so ``stats`` match the
+    production run's ``candidates_scanned`` too.
+    """
+
+    _score = LegacyTIRMAllocator._score
+    _rebuild_heap = LegacyTIRMAllocator._rebuild_heap
+    _heap_best_candidate = LegacyTIRMAllocator._best_candidate
+
+    def _pop_fresh(self, problem, ad: int, state, allocation):
+        top = LegacyTIRMAllocator._pop_fresh(self, problem, ad, state, allocation)
+        if top is not None:
+            state.candidates_scanned += 1
+        return top
+
+    def _best_candidate(self, problem, ad: int, state, allocation, budgets, cpes):
+        if getattr(state, "heap_theta", None) != state.theta:
+            self._rebuild_heap(problem, ad, state)
+            state.heap_theta = state.theta
+        return self._heap_best_candidate(
+            problem, ad, state, allocation, budgets, cpes
+        )
